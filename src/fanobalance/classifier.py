@@ -19,8 +19,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import ceil
 
-from .criteria import deformation_floor, reider_effective, reider_separates
+from .criteria import curve_degree_bound, deformation_floor, reider_effective, reider_separates
 from .database import FactKind, FanoRecord, GeometricFact, LocusFragment, validate
 from .database import (
     VERDICT_BALANCED,
@@ -31,8 +33,8 @@ from .database import (
 )
 from .errors import CorruptData, InsufficientAnnotations, RankMismatch
 from .intersection import CurveClass, pair, surface_restriction_form
-from .invariants import a_invariant, b_invariant
-from .linalg import QVector, format_fraction
+from .invariants import a_invariant, b_invariant, curve_a
+from .linalg import QVector, common_ratio, dot, format_fraction
 
 
 class Comparison(str, enum.Enum):
@@ -178,28 +180,82 @@ def _fact_for_divisor(rec: FanoRecord, cls: QVector) -> GeometricFact | None:
     return None
 
 
+def _fiber_units(rec: FanoRecord) -> list[QVector]:
+    return [f.divisor_class for f in rec.annotations
+            if f.fiber_class and f.divisor_class is not None]
+
+
+def _level_form(rec: FanoRecord) -> tuple[Fraction, ...]:
+    """Coefficients s with (-K)^2 . D = s . D for surface classes D."""
+    if rec.rank == 2:
+        return surface_restriction_form(rec.tensor, rec.anticanonical)
+    return (rec.index * rec.index * rec.tensor.entry((0, 0, 0)),)
+
+
+def _scan_box(rec: FanoRecord) -> int:
+    """Side B of the scanned box [0, B]^rank; no larger box changes a scan.
+
+    With curve degrees d_j = (-K).e_j > 0 (validate sees to it), surface
+    levels s_j (`_level_form`), A the largest annotated divisor coordinate,
+    T the largest of ceil(10 / s_j) for s_j > 0 and, on rank 1 with index
+    >= 2, ceil(5 / ((index - 1)^2 * cube)) (the strict category), and f the
+    number of fiber units off the axes (A, T = 0 if none):
+    B = f + max(A + 1, T, ceil((2 + max d) / min d)).  An s_j < 0, or an
+    s_j = 0 with e_j no fiber unit, raises InsufficientAnnotations.
+
+    Curves: degree <= 2 bounds each coordinate by 2 / min d.  The least
+    degree D > 2 is <= 2 + max d, or lowering a coordinate of its class
+    would keep it above 2; so that class is inside and every class outside
+    has degree > D.  Surfaces: annotated classes are inside.  Take c outside
+    and no fiber multiple, and lower its coordinates above B into
+    (max(A, T - 1), B].  That gives an unannotated c' inside, visited
+    before c, in c's category: s_j > 0 keeps both at level >= 10 (strict on
+    rank 1), s_j = 0 keeps the level.  An axis unit with c' as a multiple
+    has c as one; each of the f other units bars at most one of the f + 1
+    or more values of a lowered coordinate.  So each category shows first,
+    and each error is raised first, inside the box, in the same order.
+    """
+    axes = [tuple(Fraction(int(i == j)) for i in range(rec.rank)) for j in range(rec.rank)]
+    degrees = [pair(rec.anticanonical, CurveClass(e, rec.curve_pairing)) for e in axes]
+    levels = _level_form(rec)
+    fiber_units = _fiber_units(rec)
+    annotated = [c for f in rec.annotations if f.divisor_class is not None
+                 for c in f.divisor_class]
+    terms = [ceil(max(annotated, default=0)) + 1,
+             ceil((2 + max(degrees)) / min(degrees))]
+    for e, level in zip(axes, levels):
+        if level > 0:
+            terms.append(ceil(10 / level))
+        elif level < 0 or e not in fiber_units:
+            label = ",".join(format_fraction(c) for c in e)
+            raise InsufficientAnnotations(
+                f"{rec.name}: surface level {format_fraction(level)} along ({label}) "
+                "is not positive and that direction is not an annotated fiber class")
+    if rec.rank == 1 and rec.index >= 2 and levels[0] > 0:
+        terms.append(ceil(5 * rec.index ** 2 / ((rec.index - 1) ** 2 * levels[0])))
+    off_axis = sum(1 for u in fiber_units if sum(c != 0 for c in u) >= 2)
+    return off_axis + max(terms)
+
+
 def _lattice_points(rank: int, bound: int):
-    if rank == 1:
-        for n in range(bound + 1):
-            yield (Fraction(n),)
-    else:
-        for n in range(bound + 1):
-            for m in range(bound + 1):
-                yield (Fraction(n), Fraction(m))
+    """Nonzero classes of the box [0, bound]^rank, first coordinate outermost."""
+    for coords in product(range(bound + 1), repeat=rank):
+        if any(coords):
+            yield tuple(Fraction(c) for c in coords)
 
 
-def _curve_scan(rec: FanoRecord, a_x: Fraction, b_x: int, bound: int,
+def _curve_degrees(rec: FanoRecord, box: int):
+    """(class, anticanonical degree) over the box; degrees are positive, as d > 0."""
+    anti = rec.anticanonical
+    for coords in _lattice_points(rec.rank, box):
+        yield coords, pair(anti, CurveClass(coords, rec.curve_pairing))
+
+
+def _curve_scan(rec: FanoRecord, a_x: Fraction, b_x: int, box: int,
                 witnesses: list[Witness], fragments: list[LocusFragment]) -> None:
     floor = deformation_floor()
-    anti = rec.anticanonical
     min_high_degree: Fraction | None = None
-    seen_conic: set[QVector] = set()
-    for coords in _lattice_points(rec.rank, bound):
-        if all(c == 0 for c in coords):
-            continue
-        degree = pair(anti, CurveClass(coords, rec.curve_pairing))
-        if degree <= 0:
-            continue  # not an effective curve class on a Fano model
+    for coords, degree in _curve_degrees(rec, box):
         if degree < floor:
             line_facts = _facts_for_curve(rec, coords, FactKind.DOMINATING_LINE_LOCUS)
             if line_facts:
@@ -210,21 +266,18 @@ def _curve_scan(rec: FanoRecord, a_x: Fraction, b_x: int, bound: int,
                     text="curve classes below the moving-degree floor "
                          "(confined to a closed set by the degree bound)"))
         elif degree == floor:
-            for fact in _facts_for_curve(rec, coords, FactKind.DOMINATING_CONIC_CLASS):
-                if coords in seen_conic:
-                    continue
-                seen_conic.add(coords)
-                a = fact.a if fact.a is not None else 2 / degree
+            # the class is visited once; its first conic annotation is its witness
+            for fact in _facts_for_curve(rec, coords, FactKind.DOMINATING_CONIC_CLASS)[:1]:
+                a = fact.a if fact.a is not None else curve_a(degree)
                 b = fact.b if fact.b is not None else 1
                 label = ",".join(format_fraction(c) for c in coords)
                 witnesses.append(Witness(
                     description=f"dominating conic family in curve class ({label})",
                     a=a, b=b, outcome=_compare(a, b, a_x, b_x)))
-        else:
-            if min_high_degree is None or degree < min_high_degree:
-                min_high_degree = degree
+        elif min_high_degree is None or degree < min_high_degree:
+            min_high_degree = degree
     if min_high_degree is not None:
-        a = 2 / min_high_degree
+        a = curve_a(min_high_degree)
         witnesses.append(Witness(
             description="curves above the conic degree (threshold drops strictly)",
             a=a, b=1, outcome=_compare(a, 1, a_x, b_x)))
@@ -241,33 +294,17 @@ def _surface_witness_from_fact(fact: GeometricFact, coords: QVector,
 
 
 def _fiber_class_multiple(coords: QVector, fiber_units: list[QVector]) -> bool:
-    for unit in fiber_units:
-        scale = None
-        ok = True
-        for c, u in zip(coords, unit):
-            if u == 0:
-                if c != 0:
-                    ok = False
-                    break
-            else:
-                scale = c / u
-        if ok and scale is not None and scale >= 2:
-            return True
-    return False
+    scales = (common_ratio(coords, unit) for unit in fiber_units)
+    return any(scale is not None and scale >= 2 for scale in scales)
 
 
-def _surface_scan(rec: FanoRecord, a_x: Fraction, b_x: int, bound: int,
+def _surface_scan(rec: FanoRecord, a_x: Fraction, b_x: int, box: int,
                   witnesses: list[Witness], fragments: list[LocusFragment]) -> None:
-    anti = rec.anticanonical
-    fiber_units = [f.divisor_class for f in rec.annotations
-                   if f.fiber_class and f.divisor_class is not None]
-    if rec.rank == 2:
-        alpha, beta = surface_restriction_form(rec.tensor, anti)
+    fiber_units = _fiber_units(rec)
+    levels = _level_form(rec)
     seen_categories: set[str] = set()
 
-    for coords in _lattice_points(rec.rank, bound):
-        if all(c == 0 for c in coords):
-            continue
+    for coords in _lattice_points(rec.rank, box):
         if _fiber_class_multiple(coords, fiber_units):
             continue  # no irreducible members in multiples of a fiber class
         fact = _fact_for_divisor(rec, coords)
@@ -276,9 +313,7 @@ def _surface_scan(rec: FanoRecord, a_x: Fraction, b_x: int, bound: int,
             fragments.extend(fact.locus)
             continue
 
-        if rec.rank == 2:
-            level = alpha * coords[0] + beta * coords[1]
-        else:
+        if rec.rank == 1:
             # adjoint tested at c times the fundamental divisor: if some
             # c below the index already clears the effectivity threshold,
             # the threshold invariant drops strictly below a(X).
@@ -302,8 +337,7 @@ def _surface_scan(rec: FanoRecord, a_x: Fraction, b_x: int, bound: int,
                         outcome=ComparisonOutcome(Comparison.LT, Comparison.NA),
                         pessimistic=True))
                 continue
-            level = index * index * m * cube
-
+        level = dot(levels, coords)
         if reider_separates(level).holds:
             category = "separates"
             if category not in seen_categories:
@@ -330,21 +364,24 @@ def _surface_scan(rec: FanoRecord, a_x: Fraction, b_x: int, bound: int,
                 "threshold and carries no annotation")
 
 
-def classify(rec: FanoRecord, scan_bound: int = 20) -> BalancedVerdict:
-    """Balanced / weakly balanced / weakly a-balanced verdict for -K.
-
-    Runs the base invariants, the curve scan, and the surface scan, then
-    aggregates witness comparisons under the lexicographic order and
-    assembles the exceptional-set text from the triggered annotations.
-    """
-    if scan_bound < 5:
-        raise ValueError("scan bound must be at least 5")
+def _check(rec: FanoRecord) -> None:
     if rec.rank not in (1, 2):
         raise RankMismatch("the decision procedure covers Picard rank 1 and 2 records")
     problems = validate(rec)
     if problems:
         raise CorruptData(f"{rec.name}: {'; '.join(problems)}")
 
+
+def classify(rec: FanoRecord) -> BalancedVerdict:
+    """Balanced / weakly balanced / weakly a-balanced verdict for -K.
+
+    Runs the base invariants, the curve scan, and the surface scan over
+    the box `_scan_box` reads off the record, then aggregates witness
+    comparisons under the lexicographic order and assembles the
+    exceptional-set text from the triggered annotations.
+    """
+    _check(rec)
+    box = _scan_box(rec)
     anti = rec.anticanonical
     a_x = a_invariant(rec, anti)
     b_x = b_invariant(rec, anti)
@@ -354,8 +391,8 @@ def classify(rec: FanoRecord, scan_bound: int = 20) -> BalancedVerdict:
     for fact in rec.annotations:
         if fact.kind == FactKind.EXCEPTIONAL_DIVISOR:
             fragments.extend(fact.locus)
-    _curve_scan(rec, a_x, b_x, scan_bound, witnesses, fragments)
-    _surface_scan(rec, a_x, b_x, scan_bound, witnesses, fragments)
+    _curve_scan(rec, a_x, b_x, box, witnesses, fragments)
+    _surface_scan(rec, a_x, b_x, box, witnesses, fragments)
 
     level_rank = _LEVEL_ORDER[VERDICT_BALANCED]
     for witness in witnesses:
@@ -368,29 +405,20 @@ def classify(rec: FanoRecord, scan_bound: int = 20) -> BalancedVerdict:
     )
 
 
-def curve_violation_scan(rec: FanoRecord, scan_bound: int = 20) -> list[QVector]:
+def curve_violation_scan(rec: FanoRecord) -> list[QVector]:
     """Curve classes that could beat the ambient threshold invariant.
 
     These are exactly the classes of anticanonical degree strictly below
-    2 / a(X); for a(X) = 1 that means the degree-1 (line) classes.
+    2 / a(X); for a(X) = 1 that means the degree-1 (line) classes.  They
+    lie in the scan box, which holds every class of degree at most 2.
     """
-    problems = validate(rec)
-    if problems:
-        raise CorruptData(f"{rec.name}: {'; '.join(problems)}")
-    anti = rec.anticanonical
-    a_x = a_invariant(rec, anti)
-    bound_value = 2 / a_x
-    out = []
-    for coords in _lattice_points(rec.rank, scan_bound):
-        if all(c == 0 for c in coords):
-            continue
-        degree = pair(anti, CurveClass(coords, rec.curve_pairing))
-        if 0 < degree < bound_value:
-            out.append(coords)
-    return out
+    _check(rec)
+    bound = curve_degree_bound(a_invariant(rec, rec.anticanonical))
+    return [coords for coords, degree in _curve_degrees(rec, _scan_box(rec))
+            if degree < bound]
 
 
-def verify_all(records: list[FanoRecord], scan_bound: int = 20) -> dict:
+def verify_all(records: list[FanoRecord]) -> dict:
     """Compare classify() against every record's expected verdict.
 
     Records expected to be unclassified are reported but never counted as
@@ -403,7 +431,7 @@ def verify_all(records: list[FanoRecord], scan_bound: int = 20) -> dict:
     for rec in sorted(records, key=lambda r: r.name):
         computed_witnesses: list[dict] = []
         try:
-            verdict = classify(rec, scan_bound)
+            verdict = classify(rec)
             computed = verdict.level
             computed_witnesses = [w.to_json() for w in verdict.witnesses]
         except InsufficientAnnotations:

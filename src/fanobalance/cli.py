@@ -34,7 +34,6 @@ class CliConfig:
     command: str
     target: str | None = None
     divisor: str | None = None
-    scan_bound: int = 20
     json_out: str | None = None
     verbosity: int = 0
     db: str | None = None
@@ -144,7 +143,7 @@ def _cmd_classify(cfg: CliConfig) -> int:
     rec = _find(_load_records(cfg), cfg.target)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        verdict = classify(rec, cfg.scan_bound)
+        verdict = classify(rec)
     _print_warnings(caught)
     print(f"{rec.name}: {verdict.level}")
     print(f"exceptional set: {verdict.exceptional_set}")
@@ -152,7 +151,7 @@ def _cmd_classify(cfg: CliConfig) -> int:
         for witness in verdict.witnesses:
             print(f"  [{witness.outcome.a_cmp.value},{witness.outcome.b_cmp.value}] "
                   f"{witness.description}")
-        lines = curve_violation_scan(rec, cfg.scan_bound)
+        lines = curve_violation_scan(rec)
         if lines:
             classes = ", ".join("(" + ",".join(format_fraction(c) for c in v) + ")"
                                 for v in lines)
@@ -171,7 +170,7 @@ def _cmd_verify_all(cfg: CliConfig) -> int:
         if problems:
             print(f"{rec.name}: INVALID: {'; '.join(problems)}")
             return EXIT_MISMATCH
-    report = verify_all(records, cfg.scan_bound)
+    report = verify_all(records)
     for row in report["results"]:
         print(f"{row['name']:<16} computed={row['computed']:<18} "
               f"expected={row['expected']:<18} {_mark(row['match'])}")
@@ -229,12 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="run the balanced decision procedure")
     p_classify.add_argument("name")
-    p_classify.add_argument("--scan-bound", type=int, default=20)
     p_classify.add_argument("--json", dest="json_out", nargs="?", const="", default=None)
 
     p_verify = sub.add_parser("verify-all", help="check every record against its "
                                                  "expected verdict")
-    p_verify.add_argument("--scan-bound", type=int, default=20)
     p_verify.add_argument("--json", dest="json_out", nargs="?", const="", default=None)
 
     p_cone = sub.add_parser("cone", help="polyhedral cone operations on a JSON file")
@@ -255,7 +252,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         command=args.command,
         target=getattr(args, "name", None) or getattr(args, "file", None),
         divisor=getattr(args, "divisor", None),
-        scan_bound=getattr(args, "scan_bound", 20),
         json_out=getattr(args, "json_out", None),
         verbosity=args.verbose,
         db=args.db,

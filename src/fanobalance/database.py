@@ -322,11 +322,13 @@ def validate(rec: FanoRecord) -> list[str]:
             violations.append("curve pairing is not the swap matrix")
 
     if rec.rank == 1:
-        if rec.index is None:
-            violations.append("rank-1 record needs an index")
+        if rec.index is None or rec.index < 1:
+            violations.append(f"rank-1 record needs a positive index, has {rec.index}")
         elif rec.canonical.coords != qvec([-rec.index]):
             violations.append(
                 f"canonical class {rec.canonical.coords} disagrees with index {rec.index}")
+        if rec.curve_pairing != (qvec([1]),):
+            violations.append("curve pairing is not the identity")
 
     if not rec.eff_cone.is_pointed:
         violations.append("effective cone is not pointed")

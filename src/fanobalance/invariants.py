@@ -27,7 +27,8 @@ from .errors import (
     RankMismatch,
 )
 from .intersection import DivisorClass, IntersectionTensor, eval_product
-from .linalg import determinant, dot, format_fraction, solve_square, span_rank, to_fraction
+from .linalg import (common_ratio, determinant, dot, format_fraction, solve_square, span_rank,
+                     to_fraction)
 
 LARGER_CONE_FLAG = "larger_cone_possible"
 
@@ -81,24 +82,11 @@ class InvariantReport:
         }
 
 
-def _is_positive_anticanonical_multiple(model: VarietyModel, cls: DivisorClass) -> bool:
-    anti = model.anticanonical.coords
-    scale = None
-    for have, want in zip(cls.coords, anti):
-        if want == 0:
-            if have != 0:
-                return False
-            continue
-        ratio = have / want
-        if scale is None:
-            scale = ratio
-        elif ratio != scale:
-            return False
-    return scale is not None and scale > 0
-
-
 def _warn_if_low_confidence(model: VarietyModel, cls: DivisorClass) -> None:
-    if LARGER_CONE_FLAG in model.flags and not _is_positive_anticanonical_multiple(model, cls):
+    if LARGER_CONE_FLAG not in model.flags:
+        return
+    scale = common_ratio(cls.coords, model.anticanonical.coords)
+    if scale is None or scale <= 0:
         warnings.warn(
             f"{model.name}: effective cone possibly larger than stored; "
             "values for this divisor are computed on the stored subcone",

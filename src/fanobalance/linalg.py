@@ -83,6 +83,14 @@ def is_zero(v: QVector) -> bool:
     return all(a == 0 for a in v)
 
 
+def common_ratio(v: QVector, unit: QVector) -> Fraction | None:
+    """The t with v = t * unit, or None when v is no multiple of unit."""
+    if any(a != 0 for a, u in zip(v, unit) if u == 0):
+        return None
+    ratios = {a / u for a, u in zip(v, unit) if u != 0}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
 def primitive(v: QVector) -> QVector:
     """Scale to the primitive integer vector with the same orientation.
 

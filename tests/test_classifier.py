@@ -2,10 +2,12 @@ import copy
 
 import pytest
 
+from fanobalance import classifier
 from fanobalance.classifier import (
     BalancedVerdict,
     Comparison,
     ComparisonOutcome,
+    _fiber_class_multiple,
     assemble_exceptional_set,
     classify,
     curve_violation_scan,
@@ -19,8 +21,10 @@ from fanobalance.database import (
     VERDICT_WEAKLY_BALANCED,
     record_from_json,
     record_to_json,
+    validate,
 )
 from fanobalance.errors import CorruptData, InsufficientAnnotations
+from fanobalance.intersection import surface_restriction_form
 from fanobalance.linalg import qvec
 
 
@@ -83,15 +87,41 @@ class TestVerdicts:
             assert any(w.outcome.a_cmp == Comparison.EQ and w.outcome.b_cmp == Comparison.GT
                        for w in verdict.witnesses), rec.name
 
-    def test_scan_bound_stability(self, records):
+    def test_scan_box_suffices(self, records, by_name, monkeypatch):
+        # the derived box agrees with the fixed 50-box on every record, on
+        # every record with one annotation deleted, and on the zero-level
+        # rank2-d54 variants
+        variants = []
         for rec in records:
-            if rec.expected_verdict == VERDICT_UNCLASSIFIED:
-                continue
-            assert classify(rec, 5) == classify(rec, 50), rec.name
+            raw = record_to_json(rec)
+            variants.append(raw)
+            for i in range(len(raw.get("annotations", []))):
+                variant = copy.deepcopy(raw)
+                del variant["annotations"][i]
+                variants.append(variant)
+        assert len(variants) == 26 + 61
+        variants += [_zero_level_d54(by_name, keep_fiber)
+                     for keep_fiber in (True, False)]
+        # crafted records that need the A + 1, the 10 / s and the f terms
+        variants += [_with_surface_annotations(by_name, "rank1-P3", 2),
+                     _with_surface_annotations(by_name, "rank1-r1-d2", 2),
+                     _off_axis_fiber_d54(by_name)]
+        variants = [record_from_json(raw) for raw in variants]
+        derived = [_outcome(rec) for rec in variants]
+        monkeypatch.setattr(classifier, "_scan_box", lambda rec: 50)
+        for rec, verdict in zip(variants, derived):
+            assert _outcome(rec) == verdict, rec.name
 
-    def test_scan_bound_precondition(self, by_name):
-        with pytest.raises(ValueError):
-            classify(by_name["rank2-d62"], 4)
+    def test_zero_level_needs_a_fiber_annotation(self, by_name):
+        rec = record_from_json(_zero_level_d54(by_name, keep_fiber=True))
+        assert validate(rec) == []
+        assert surface_restriction_form(rec.tensor, rec.anticanonical) == (18, 0)
+        verdict = classify(rec)
+        assert verdict.level == VERDICT_BALANCED
+        assert len(verdict.witnesses) == 4
+        rec = record_from_json(_zero_level_d54(by_name, keep_fiber=False))
+        with pytest.raises(InsufficientAnnotations, match=r"along \(0,1\)"):
+            classify(rec)
 
     def test_balanced_record_has_zero_adjoint(self, records):
         # consistent with rigidity: a = 1 makes the adjoint of -K the zero class
@@ -115,6 +145,59 @@ class TestVerdicts:
         rec = record_from_json(raw)
         with pytest.raises(InsufficientAnnotations):
             classify(rec)
+
+
+def _outcome(rec):
+    try:
+        return classify(rec)
+    except InsufficientAnnotations:
+        return VERDICT_UNCLASSIFIED
+
+
+def _zero_level_d54(by_name, keep_fiber: bool) -> dict:
+    # (-K)^2 . L2 = 0: the surface level has no pull along the fiber direction
+    raw = copy.deepcopy(record_to_json(by_name["rank2-d54"]))
+    raw["tensor"]["entries"] = {"0,0,0": "2"}
+    if not keep_fiber:
+        raw["annotations"] = [a for a in raw["annotations"]
+                              if a["kind"] != "FiberSurfaceProfile"]
+    return raw
+
+
+def _surface_fact(*coords, fiber=False) -> dict:
+    payload = {"divisor_class": [str(c) for c in coords], "a": "1", "b": 1}
+    if fiber:
+        payload["fiber_class"] = True
+    kind = "FiberSurfaceProfile" if fiber else "NonRationalFiber"
+    return {"kind": kind, "payload": payload, "citation": "fixture"}
+
+
+def _with_surface_annotations(by_name, name: str, up_to: int) -> dict:
+    raw = copy.deepcopy(record_to_json(by_name[name]))
+    raw.setdefault("annotations", []).extend(_surface_fact(m) for m in range(1, up_to + 1))
+    return raw
+
+
+def _off_axis_fiber_d54(by_name) -> dict:
+    # beta = 0; the fiber unit (1,2) skips (2,4) and row 2 is annotated below
+    # it, so without one more column per off-axis unit the separation-level
+    # witness would first show at (3,1), after the annotation at (3,0)
+    raw = _zero_level_d54(by_name, keep_fiber=True)
+    raw["tensor"]["entries"] = {"0,0,0": "1"}
+    raw["degree"] = 27
+    raw["annotations"] += [_surface_fact(1, 2, fiber=True)] + [
+        _surface_fact(*c) for c in ((2, 0), (2, 1), (2, 2), (2, 3), (3, 0))]
+    return raw
+
+
+class TestFiberClassMultiple:
+    def test_needs_one_common_ratio(self):
+        assert not _fiber_class_multiple(qvec([2, 3]), [qvec([1, 1])])
+        assert _fiber_class_multiple(qvec([2, 2]), [qvec([1, 1])])
+        assert _fiber_class_multiple(qvec([0, 3]), [qvec([0, 1])])
+
+    def test_the_unit_itself_is_kept(self):
+        assert not _fiber_class_multiple(qvec([0, 1]), [qvec([0, 1])])
 
 
 class TestCurveViolationScan:

@@ -77,10 +77,12 @@ class TestClassify:
         assert code == 0
         assert "dominating conic family" in out
 
-    def test_custom_scan_bound(self, capsys):
-        code, out, _ = run(capsys, "classify", "rank2-d6", "--scan-bound", "7")
-        assert code == 0
-        assert "weakly a-balanced" in out
+    def test_scan_bound_flag_rejected(self, capsys):
+        # the scanned box is read off each record; there is no size to set
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "rank2-d6", "--scan-bound", "7"])
+        assert exc.value.code == 2
+        assert "--scan-bound" in capsys.readouterr().err
 
     def test_unclassifiable_record_is_an_error(self, capsys):
         code, _, err = run(capsys, "classify", "rank1-r1-d2")

@@ -173,6 +173,22 @@ class TestFaultInjection:
         problems = validate(rec)
         assert any("swap" in p for p in problems)
 
+    def test_rank1_pairing_must_be_identity(self, by_name):
+        for entry in ("0", "-1"):
+            raw = _tampered(by_name, "rank1-r1-d10")
+            raw["curve_pairing"] = [[entry]]
+            problems = validate(record_from_json(raw))
+            assert any("identity" in p for p in problems), entry
+
+    def test_rank1_index_must_be_positive(self, by_name):
+        # a mirrored record: -K = -L on the cone spanned by -L
+        raw = _tampered(by_name, "rank1-r1-d10")
+        raw.update(index=-1, canonical=["1"], eff_generators=[["-1"]],
+                   nef_generators=[["-1"]])
+        raw["tensor"]["entries"] = {"0,0,0": "-10"}
+        problems = validate(record_from_json(raw))
+        assert problems == ["rank-1 record needs a positive index, has -1"]
+
     def test_tampered_expected_b_caught(self, by_name):
         raw = _tampered(by_name, "rank2-d48")
         raw["expected"]["b"] = 1
