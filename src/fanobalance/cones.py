@@ -2,197 +2,171 @@
 
 A cone is held as a pair of exact descriptions: extremal generators and
 inward facet normals.  Conversion between the two runs the incremental
-double description method over `fractions.Fraction`; no floating point is
-involved anywhere.  Ranks in this library stay small (<= 16), so clarity
-wins over asymptotic tricks throughout.
+double description method on primitive integer vectors, with each ray's
+saturated constraints as an `int` bitmask; every vector a cone holds or
+returns is an exact rational (`fractions.Fraction`) tuple.  No floating
+point is involved anywhere.  Ranks in this library stay small (<= 16), so
+clarity wins over asymptotic tricks throughout.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .errors import DimensionMismatch, EmptyCone, NotMember, ParseError
 from .linalg import (
     QVector,
+    _cleared,
+    bareiss,
     check_length,
     dot,
     format_fraction,
     in_span,
     is_zero,
-    primitive,
     qvec,
     span_rank,
-    vec_neg,
-    vec_scale,
-    vec_sub,
     with_positive_leading,
     zero_vector,
 )
 
 MAX_SUPPORTED_RANK = 16
 
-
-def _unit_vectors(rank: int) -> list[QVector]:
-    return [tuple(Fraction(1 if i == j else 0) for j in range(rank)) for i in range(rank)]
+IntVector = tuple[int, ...]
 
 
-def dual_extreme_rays(vectors: list[QVector], rank: int) -> tuple[list[QVector], list[QVector]]:
+def _unit_vectors(rank: int) -> list[IntVector]:
+    return [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+
+
+def _idot(u: IntVector, v: IntVector) -> int:
+    return sum(map(mul, u, v))
+
+
+def _primitive(v) -> IntVector:
+    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    g = gcd(*v)
+    return tuple(a // g for a in v) if g > 1 else tuple(v)
+
+
+def _combine(scale: int, v: IntVector, coeff: int, b: IntVector) -> IntVector:
+    """The primitive vector of ``scale * v - coeff * b``."""
+    return _primitive([scale * x - coeff * y for x, y in zip(v, b)])
+
+
+def dual_extreme_rays(vectors: list[QVector], rank: int) -> tuple[list[IntVector], list[IntVector]]:
     """Extreme rays and lineality basis of ``{y : v . y >= 0 for all v}``.
 
     This is the double description method with incremental constraint
     insertion.  The state is a lineality basis ``B`` and a ray list ``R``
-    with, for each ray, the set of already-processed constraints it
-    saturates; the represented set is always ``span(B) + cone(R)``.
+    with, for each ray, the bitmask of already-processed constraints it
+    saturates; the represented set is always ``span(B) + cone(R)``.  Every
+    constraint is first scaled to a primitive integer vector, and every
+    vector of the state is a primitive (rays) or gcd-reduced (basis)
+    integer vector: each step below only rescales by a positive integer
+    before reducing.
 
     Inserting a constraint ``a``:
 
     * if ``a`` is nonzero on the lineality space, one basis vector ``b*``
       with ``a(b*) > 0`` leaves the basis and becomes a ray, the remaining
-      basis and all rays are sheared into ``ker(a)``;
+      basis and all rays are sheared into ``ker(a)`` (``v`` becomes
+      ``a(b*) v - a(v) b*``);
     * otherwise rays are split by the sign of ``a`` and each adjacent
       (positive, negative) pair contributes the combination ray on
       ``{a = 0}``.  Adjacency uses the combinatorial test: no third ray
-      saturates every constraint the pair saturates jointly.
+      saturates every constraint the pair saturates jointly.  A pair that
+      jointly saturates fewer than ``rank - dim B - 2`` constraints spans
+      no 2-face modulo ``span(B)`` and is skipped without the test.
 
     Returns primitive integer vectors; rays sorted lexicographically,
     lineality vectors sign-normalized to a positive leading entry.
     """
-    constraints: list[QVector] = []
-    seen: set[QVector] = set()
+    constraints: list[IntVector] = []
+    seen: set[IntVector] = set()
     for v in vectors:
         if len(v) != rank:
             raise DimensionMismatch(f"constraint of length {len(v)} in rank {rank}")
-        p = primitive(v)
-        if is_zero(p) or p in seen:
+        p = _primitive(_cleared(v))
+        if not any(p) or p in seen:
             continue
         seen.add(p)
         constraints.append(p)
 
-    lineality: list[QVector] = _unit_vectors(rank)
-    rays: list[tuple[QVector, frozenset[int]]] = []
+    lineality: list[IntVector] = _unit_vectors(rank)
+    rays: list[tuple[IntVector, int]] = []
 
     for idx, a in enumerate(constraints):
-        pivot = None
-        for b in lineality:
-            if dot(a, b) != 0:
-                pivot = b
-                break
+        bit = 1 << idx
+        pivot = next((b for b in lineality if _idot(a, b)), None)
         if pivot is not None:
-            bstar = pivot if dot(a, pivot) > 0 else vec_neg(pivot)
-            ab = dot(a, bstar)
-            new_lineality = []
-            for b in lineality:
-                if b is pivot:
-                    continue
-                new_lineality.append(vec_sub(b, vec_scale(dot(a, b) / ab, bstar)))
-            lineality = new_lineality
+            bstar = pivot if _idot(a, pivot) > 0 else tuple(-x for x in pivot)
+            ab = _idot(a, bstar)
+            lineality = [_combine(ab, b, _idot(a, b), bstar) for b in lineality if b is not pivot]
             new_rays = []
             for r, active in rays:
-                r2 = primitive(vec_sub(r, vec_scale(dot(a, r) / ab, bstar)))
-                if not is_zero(r2):
-                    new_rays.append((r2, active | {idx}))
-            new_rays.append((primitive(bstar), frozenset(range(idx))))
+                r2 = _combine(ab, r, _idot(a, r), bstar)
+                if any(r2):
+                    new_rays.append((r2, active | bit))
+            new_rays.append((bstar, bit - 1))
             rays = new_rays
             continue
 
-        plus = [(r, act) for r, act in rays if dot(a, r) > 0]
-        zero = [(r, act | {idx}) for r, act in rays if dot(a, r) == 0]
-        minus = [(r, act) for r, act in rays if dot(a, r) < 0]
+        split = [(_idot(a, r), r, act) for r, act in rays]
+        plus = [ray for ray in split if ray[0] > 0]
+        zero = [(r, act | bit) for x, r, act in split if x == 0]
+        minus = [ray for ray in split if ray[0] < 0]
         if not minus:
-            rays = plus + zero
+            rays = [(r, act) for _, r, act in plus] + zero
             continue
-        combined: list[tuple[QVector, frozenset[int]]] = []
-        for (p, pact), (m, mact) in itertools.product(plus, minus):
+        masks = [act for _, act in rays]
+        need = rank - len(lineality) - 2
+        combined: list[tuple[IntVector, int]] = []
+        for (xp, p, pact), (xm, m, mact) in itertools.product(plus, minus):
             common = pact & mact
-            adjacent = True
-            for r, act in rays:
-                if r is p or r is m:
-                    continue
-                if common <= act:
-                    adjacent = False
-                    break
-            if not adjacent:
+            if common.bit_count() < need:
                 continue
-            comb = primitive(vec_sub(vec_scale(dot(a, p), m), vec_scale(dot(a, m), p)))
-            if not is_zero(comb):
-                combined.append((comb, frozenset(common | {idx})))
-        rays = plus + zero + combined
+            # p and m themselves saturate ``common``; a third ray must not
+            if list(map(common.__and__, masks)).count(common) > 2:
+                continue
+            comb = _combine(xp, m, xm, p)
+            if any(comb):
+                combined.append((comb, common | bit))
+        rays = [(r, act) for _, r, act in plus] + zero + combined
 
-    lin_rank = len(lineality)
-    extreme: list[QVector] = []
-    for r, _ in rays:
-        active_rows = [c for c in constraints if dot(c, r) == 0]
-        if span_rank(active_rows) == rank - lin_rank - 1:
-            if r not in extreme:
-                extreme.append(r)
-    extreme.sort()
-    lin_basis = sorted(with_positive_leading(primitive(b)) for b in lineality)
-    return extreme, lin_basis
+    target = rank - len(lineality) - 1
+    extreme: set[IntVector] = set()
+    for r, active in rays:
+        rows = [list(c) for i, c in enumerate(constraints) if active >> i & 1]
+        if bareiss(rows)[0] == target:
+            extreme.add(r)
+    lin_basis = sorted(with_positive_leading(_primitive(b)) for b in lineality)
+    return sorted(extreme), lin_basis
 
 
 class Cone:
-    """A rational polyhedral cone with cached dual description.
+    """A rational polyhedral cone with both descriptions.
 
-    Either description may be supplied; the other is computed on first use
-    and cached (compute-once, safe under concurrent readers).  Use the
-    :func:`cone_from_generators` / :func:`cone_from_facets` factories for
-    canonicalized, cross-validated cones.
+    Holds the extremal generators (plus a +/- basis of the lineality space),
+    the inward facet normals, the lineality rank and the dimension of the
+    span.  Build cones with the :func:`cone_from_generators` /
+    :func:`cone_from_facets` factories, which canonicalize and
+    cross-validate the descriptions.
     """
 
-    __slots__ = ("ambient_rank", "_generators", "_facets", "_lineality_rank", "_lock")
+    __slots__ = ("ambient_rank", "generators", "facet_normals", "lineality_rank", "_dim")
 
-    def __init__(self, ambient_rank: int,
-                 generators: list[QVector] | tuple[QVector, ...] | None = None,
-                 facet_normals: list[QVector] | tuple[QVector, ...] | None = None,
-                 lineality_rank: int | None = None):
+    def __init__(self, ambient_rank: int, generators: tuple[QVector, ...],
+                 facet_normals: tuple[QVector, ...], lineality_rank: int, dim: int):
         if ambient_rank < 0 or ambient_rank > MAX_SUPPORTED_RANK:
             raise DimensionMismatch(f"ambient rank {ambient_rank} outside supported range")
-        if generators is None and facet_normals is None:
-            raise EmptyCone("a cone needs generators or facet normals")
         self.ambient_rank = ambient_rank
-        self._generators = None if generators is None else tuple(generators)
-        self._facets = None if facet_normals is None else tuple(facet_normals)
-        self._lineality_rank = lineality_rank
-        self._lock = threading.Lock()
-        for vs in (self._generators, self._facets):
-            if vs is not None:
-                for v in vs:
-                    check_length(v, ambient_rank)
-
-    @property
-    def generators(self) -> tuple[QVector, ...]:
-        if self._generators is None:
-            with self._lock:
-                if self._generators is None:
-                    rays, lin = dual_extreme_rays(list(self._facets), self.ambient_rank)
-                    self._generators = _canonical_generators(rays, lin)
-                    self._lineality_rank = len(lin)
-        return self._generators
-
-    @property
-    def facet_normals(self) -> tuple[QVector, ...]:
-        if self._facets is None:
-            with self._lock:
-                if self._facets is None:
-                    facets, _ = dual_extreme_rays(list(self._generators), self.ambient_rank)
-                    self._facets = tuple(facets)
-        return self._facets
-
-    @property
-    def lineality_rank(self) -> int:
-        if self._lineality_rank is None:
-            gens = list(self.generators)
-            facets = list(self.facet_normals)
-            # lineality = span(generators) meet the kernel of every facet
-            span_dim = span_rank(gens)
-            if span_dim == 0:
-                self._lineality_rank = 0
-            else:
-                self._lineality_rank = span_dim - span_rank(
-                    [tuple(dot(f, g) for f in facets) for g in gens])
-        return self._lineality_rank
+        self.generators = generators
+        self.facet_normals = facet_normals
+        self.lineality_rank = lineality_rank
+        self._dim = dim
 
     @property
     def is_pointed(self) -> bool:
@@ -200,7 +174,7 @@ class Cone:
 
     def dim(self) -> int:
         """Dimension of the linear span of the cone."""
-        return span_rank(list(self.generators))
+        return self._dim
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
@@ -247,12 +221,25 @@ class Cone:
         return cone_from_facets([qvec(f) for f in facets], rank)
 
 
-def _canonical_generators(rays: list[QVector], lineality: list[QVector]) -> tuple[QVector, ...]:
+def _canonical_generators(rays: list[IntVector], lineality: list[IntVector]) -> list[IntVector]:
     gens = list(rays)
     for b in lineality:
         gens.append(b)
-        gens.append(vec_neg(b))
-    return tuple(sorted(set(gens)))
+        gens.append(tuple(-x for x in b))
+    return sorted(set(gens))
+
+
+def _make_cone(ambient_rank: int, generators: list[IntVector], facets: list[IntVector],
+               lineality_rank: int, dim: int) -> Cone:
+    """Check the integer descriptions against each other and wrap them as rationals."""
+    for g in generators:
+        for f in facets:
+            if _idot(f, g) < 0:
+                raise EmptyCone("internal: generator violates a facet normal")
+    return Cone(ambient_rank,
+                tuple(tuple(Fraction(x) for x in g) for g in generators),
+                tuple(tuple(Fraction(x) for x in f) for f in facets),
+                lineality_rank, dim)
 
 
 def cone_from_generators(rays: list[QVector], ambient_rank: int) -> Cone:
@@ -264,17 +251,16 @@ def cone_from_generators(rays: list[QVector], ambient_rank: int) -> Cone:
     """
     for r in rays:
         check_length(r, ambient_rank)
-    facets, _annihilator = dual_extreme_rays(list(rays), ambient_rank)
+    facets, annihilator = dual_extreme_rays(list(rays), ambient_rank)
     # The dual's lineality is the annihilator of span(rays): not a facet, so
     # the primal must be rebuilt inside its own span.
     support = list(facets)
-    for s in _annihilator:
+    for s in annihilator:
         support.append(s)
-        support.append(vec_neg(s))
+        support.append(tuple(-x for x in s))
     gens, lin = dual_extreme_rays(support, ambient_rank)
-    cone = Cone(ambient_rank, _canonical_generators(gens, lin), tuple(facets), len(lin))
-    _check_descriptions(cone)
-    return cone
+    return _make_cone(ambient_rank, _canonical_generators(gens, lin), facets, len(lin),
+                      ambient_rank - len(annihilator))
 
 
 def cone_from_facets(normals: list[QVector], ambient_rank: int) -> Cone:
@@ -286,26 +272,20 @@ def cone_from_facets(normals: list[QVector], ambient_rank: int) -> Cone:
             cleaned.append(n)
     gens, lin = dual_extreme_rays(cleaned, ambient_rank)
     generators = _canonical_generators(gens, lin)
-    facets, _ = dual_extreme_rays(list(generators), ambient_rank)
-    cone = Cone(ambient_rank, generators, tuple(facets), len(lin))
-    _check_descriptions(cone)
-    return cone
-
-
-def _check_descriptions(cone: Cone) -> None:
-    for g in cone.generators:
-        for f in cone.facet_normals:
-            if dot(f, g) < 0:
-                raise EmptyCone("internal: generator violates a facet normal")
+    facets, annihilator = dual_extreme_rays(generators, ambient_rank)
+    return _make_cone(ambient_rank, generators, facets, len(lin), ambient_rank - len(annihilator))
 
 
 def contains(cone: Cone, v: QVector) -> bool:
-    """Membership: nonnegative on every facet normal and inside the span."""
+    """Membership: nonnegative on every facet normal and inside the span.
+
+    The span test is needed only when the cone is lower-dimensional.
+    """
     check_length(v, cone.ambient_rank)
     for lam in cone.facet_normals:
         if dot(lam, v) < 0:
             return False
-    return in_span(v, list(cone.generators))
+    return cone.dim() == cone.ambient_rank or in_span(v, list(cone.generators))
 
 
 def minimal_supported_face(cone: Cone, v: QVector) -> tuple[Cone, int]:
@@ -321,8 +301,7 @@ def minimal_supported_face(cone: Cone, v: QVector) -> tuple[Cone, int]:
     face_gens = [g for g in cone.generators
                  if all(dot(lam, g) == 0 for lam in active)]
     face = cone_from_generators(face_gens, cone.ambient_rank)
-    codim = cone.ambient_rank - span_rank(face_gens)
-    return face, codim
+    return face, cone.ambient_rank - face.dim()
 
 
 def active_facet_indices(cone: Cone, v: QVector) -> list[int]:

@@ -1,14 +1,16 @@
 """Exact rational linear algebra on tuples of fractions.
 
-All routines work over `fractions.Fraction`; nothing here ever touches a
-float.  Vectors are immutable tuples so they can be dict keys and shared
-freely between threads.
+The public routines take and return `fractions.Fraction` vectors and
+matrices; elimination clears denominators row by row and runs on plain
+integers (:func:`bareiss`).  Nothing here ever touches a float.  Vectors
+are immutable tuples so they can be dict keys and shared freely between
+threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import DimensionMismatch, ParseError
 
@@ -64,12 +66,6 @@ def vec_add(u: QVector, v: QVector) -> QVector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: QVector, v: QVector) -> QVector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"difference of lengths {len(u)} and {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c: RationalLike, v: QVector) -> QVector:
     f = to_fraction(c)
     return tuple(f * a for a in v)
@@ -91,23 +87,10 @@ def common_ratio(v: QVector, unit: QVector) -> Fraction | None:
     return ratios.pop() if len(ratios) == 1 else None
 
 
-def primitive(v: QVector) -> QVector:
-    """Scale to the primitive integer vector with the same orientation.
-
-    Clears denominators and divides out the gcd of the entries, so the result
-    has integer entries with overall gcd 1.  The zero vector is returned
-    unchanged.
-    """
-    if is_zero(v):
-        return tuple(Fraction(0) for _ in v)
-    denom_lcm = 1
-    for a in v:
-        denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-    ints = [int(a * denom_lcm) for a in v]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    return tuple(Fraction(n // g) for n in ints)
+def _cleared(v) -> list[int]:
+    """The integer vector ``lcm(denominators) * v``; ints pass through."""
+    scale = lcm(*(a.denominator for a in v))
+    return [a.numerator * (scale // a.denominator) for a in v]
 
 
 def with_positive_leading(v: QVector) -> QVector:
@@ -119,32 +102,42 @@ def with_positive_leading(v: QVector) -> QVector:
     return v
 
 
-def _echelonize(rows: list[list[Fraction]]) -> int:
-    """In-place fraction-free-ish Gaussian elimination; returns the rank."""
+def bareiss(rows: list[list[int]], n_cols: int | None = None) -> tuple[int, int]:
+    """Fraction-free Gaussian elimination (Bareiss 1968) of integer rows, in place.
+
+    Pivots run over the first ``n_cols`` columns (all by default); each takes
+    the first nonzero entry at or below the current row, and a column
+    without one is skipped.  After the k-th pivot every entry below the
+    pivot rows is a (k+1)-minor of the input, so the division by the
+    previous pivot is exact and entries stay as small as those minors.
+    The rows end in echelon form, and on a nonsingular square the last
+    pivot is the determinant up to the sign of the row permutation.
+
+    Returns the rank and that sign.
+    """
     if not rows:
-        return 0
-    n_cols = len(rows[0])
-    piv_r = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(piv_r, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+        return 0, 1
+    n_rows, width = len(rows), len(rows[0])
+    rank, sign, prev = 0, 1, 1
+    for col in range(width if n_cols is None else n_cols):
+        pivot = next((r for r in range(rank, n_rows) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[piv_r], rows[pivot] = rows[pivot], rows[piv_r]
-        pv = rows[piv_r][col]
-        for r in range(piv_r + 1, len(rows)):
-            if rows[r][col] == 0:
-                continue
-            factor = rows[r][col] / pv
-            for c in range(col, n_cols):
-                rows[r][c] -= factor * rows[piv_r][c]
-        piv_r += 1
-        if piv_r == len(rows):
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        pv = top[col]
+        for row in rows[rank + 1:]:
+            f = row[col]
+            row[col] = 0
+            for c in range(col + 1, width):
+                row[c] = (pv * row[c] - f * top[c]) // prev
+        prev = pv
+        rank += 1
+        if rank == n_rows:
             break
-    return piv_r
+    return rank, sign
 
 
 def span_rank(vectors: list[QVector] | tuple[QVector, ...]) -> int:
@@ -156,8 +149,7 @@ def span_rank(vectors: list[QVector] | tuple[QVector, ...]) -> int:
     for v in vectors:
         if len(v) != length:
             raise DimensionMismatch("span_rank over vectors of unequal length")
-    rows = [list(v) for v in vectors]
-    return _echelonize(rows)
+    return bareiss([_cleared(v) for v in vectors])[0]
 
 
 def in_span(v: QVector, vectors: list[QVector]) -> bool:
@@ -168,50 +160,36 @@ def in_span(v: QVector, vectors: list[QVector]) -> bool:
 
 
 def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve M x = b for square M; None when M is singular."""
+    """Solve M x = b for square M; None when M is singular.
+
+    Scaling a row of ``[M | b]`` keeps the solution, so each row is cleared
+    of denominators and eliminated on integers.  With ``d`` the last pivot,
+    ``d * x`` is an integer vector (Cramer's rule), found by exact
+    back-substitution.
+    """
     n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        for r in range(n):
-            if r == col or aug[r][col] == 0:
-                continue
-            factor = aug[r][col] / pv
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+    rows = [_cleared(list(row) + [rhs[i]]) for i, row in enumerate(matrix)]
+    if bareiss(rows, n)[0] < n:
+        return None
+    d = rows[n - 1][n - 1] if n else 1
+    scaled = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        tail = sum(row[j] * scaled[j] for j in range(i + 1, n))
+        scaled[i] = (d * row[n] - tail) // row[i]
+    return [Fraction(y, d) for y in scaled]
 
 
 def determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by elimination with row-swap sign tracking."""
+    """Exact determinant: rows cleared of denominators, then eliminated on integers."""
     n = len(matrix)
-    rows = [list(r) for r in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if rows[r][col] == 0:
-                continue
-            factor = rows[r][col] / pv
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    return det
+    if n == 0:
+        return Fraction(1)
+    rows = [_cleared(row) for row in matrix]
+    rank, sign = bareiss(rows)
+    if rank < n:
+        return Fraction(0)
+    scale = 1
+    for row in matrix:
+        scale *= lcm(*(a.denominator for a in row))
+    return Fraction(sign * rows[-1][-1], scale)

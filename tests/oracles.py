@@ -3,28 +3,85 @@
 Everything here is deliberately written against a different method than the
 implementation under test: Fourier-Motzkin projection instead of double
 description, Caratheodory subset enumeration instead of simplex, breakpoint
-probing instead of the facet-ratio formula, and exhaustive support-subset
-search instead of the iterative Zariski scheme.
+probing instead of the facet-ratio formula, exhaustive support-subset
+search instead of the iterative Zariski scheme, and Gauss-Jordan
+elimination over `Fraction` instead of the library's fraction-free integer
+elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from fanobalance.cones import contains
 from fanobalance.intersection import DivisorClass, IntersectionTensor, eval_product
 from fanobalance.invariants import VarietyModel
-from fanobalance.linalg import (
-    QVector,
-    dot,
-    is_zero,
-    primitive,
-    solve_square,
-    span_rank,
-    vec_add,
-    vec_scale,
-)
+from fanobalance.linalg import QVector, dot, is_zero, vec_add, vec_scale
+
+
+# --- Gauss-Jordan elimination over Fraction -----------------------------------
+
+def _gauss_jordan(rows: list[list[Fraction]], n_cols: int) -> tuple[list[int], Fraction]:
+    """Reduce rows in place to reduced echelon form over their first n_cols columns.
+
+    Returns the pivot columns and the product of the pivots, negated once
+    per row swap (the determinant when the rows form a nonsingular square).
+    """
+    pivots: list[int] = []
+    factor = Fraction(1)
+    for col in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            factor = -factor
+        pv = rows[r][col]
+        factor *= pv
+        rows[r] = [x / pv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                f = row[col]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots, factor
+
+
+def gj_rank(vectors) -> int:
+    """Rank of the span of the vectors."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[0])
+
+
+def gj_determinant(matrix) -> Fraction:
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots, factor = _gauss_jordan(rows, len(rows))
+    return factor if len(pivots) == len(rows) else Fraction(0)
+
+
+def gj_solve(matrix, rhs) -> list[Fraction] | None:
+    """Solve M x = b for square M; None when M is singular."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    pivots, _ = _gauss_jordan(rows, n)
+    if len(pivots) < n:
+        return None
+    return [rows[i][n] for i in range(n)]
+
+
+def _primitive(v) -> QVector:
+    """The positive multiple of v with coprime integer entries."""
+    scale = 1
+    for x in v:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in v]
+    g = 0
+    for n in ints:
+        g = gcd(g, n)
+    return tuple(Fraction(n // g) for n in ints) if g else tuple(v)
 
 
 # --- Fourier-Motzkin dualization -------------------------------------------
@@ -57,21 +114,21 @@ def fourier_motzkin_facets(rays: list[QVector], rank: int) -> list[QVector]:
         for p, q in itertools.product(pos, neg):
             comb = tuple(-q[var] * pc + p[var] * qc for pc, qc in zip(p, q))
             if not is_zero(comb):
-                new_rows.add(primitive(comb))
+                new_rows.add(_primitive(comb))
         rows = list(new_rows)
 
     facets = []
     for r in rows:
         lam = tuple(r[n:])
         if not is_zero(lam):
-            facets.append(primitive(lam))
+            facets.append(_primitive(lam))
     return sorted(set(facets))
 
 
 def fm_member(v: QVector, fm_rows: list[QVector], rays: list[QVector]) -> bool:
     if any(dot(lam, v) < 0 for lam in fm_rows):
         return False
-    return span_rank(list(rays)) == span_rank(list(rays) + [v])
+    return gj_rank(rays) == gj_rank(list(rays) + [v])
 
 
 # --- Caratheodory membership ------------------------------------------------
@@ -79,39 +136,20 @@ def fm_member(v: QVector, fm_rows: list[QVector], rays: list[QVector]) -> bool:
 def _solve_columns(columns: list[QVector], target: QVector) -> list[Fraction] | None:
     """Solve sum_i c_i columns[i] = target for independent columns."""
     k = len(columns)
-    d = len(target)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(d)]
-    piv_rows = []
-    piv_r = 0
-    for col in range(k):
-        pivot = None
-        for r in range(piv_r, d):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None  # dependent columns; another subset will cover this
-        aug[piv_r], aug[pivot] = aug[pivot], aug[piv_r]
-        pv = aug[piv_r][col]
-        for r in range(d):
-            if r == piv_r or aug[r][col] == 0:
-                continue
-            f = aug[r][col] / pv
-            for c in range(col, k + 1):
-                aug[r][c] -= f * aug[piv_r][c]
-        piv_rows.append(piv_r)
-        piv_r += 1
-    for r in range(piv_r, d):
-        if aug[r][k] != 0:
-            return None
-    return [aug[i][k] / aug[i][i] for i in range(k)]
+    rows = [[c[i] for c in columns] + [target[i]] for i in range(len(target))]
+    pivots, _ = _gauss_jordan(rows, k)
+    if len(pivots) < k:
+        return None  # dependent columns; another subset will cover this
+    if any(row[k] != 0 for row in rows[k:]):
+        return None
+    return [rows[i][k] for i in range(k)]
 
 
 def caratheodory_member(v: QVector, rays: list[QVector]) -> bool:
     """Membership by enumerating independent generator subsets."""
     if is_zero(v):
         return True
-    max_size = min(len(rays), span_rank(list(rays)))
+    max_size = min(len(rays), gj_rank(rays))
     for size in range(1, max_size + 1):
         for subset in itertools.combinations(rays, size):
             sol = _solve_columns(list(subset), v)
@@ -156,15 +194,13 @@ def brute_zariski_positive(model: VarietyModel, d: DivisorClass,
     against every supplied curve.  The classical uniqueness theorem then
     forces every admissible subset to yield the same P, which is asserted.
     """
-    from fanobalance.linalg import determinant
-
     def product(x: DivisorClass, y: DivisorClass) -> Fraction:
         return eval_product(model.tensor, [x, y])
 
     def negative_definite(idx: tuple[int, ...]) -> bool:
         gram = [[product(curves[i], curves[j]) for j in idx] for i in idx]
         for k in range(1, len(idx) + 1):
-            minor = determinant([row[:k] for row in gram[:k]])
+            minor = gj_determinant([row[:k] for row in gram[:k]])
             if (-1) ** k * minor <= 0:
                 return False
         return True
@@ -176,7 +212,7 @@ def brute_zariski_positive(model: VarietyModel, d: DivisorClass,
             if subset:
                 gram = [[product(curves[i], curves[j]) for j in subset] for i in subset]
                 rhs = [product(d, curves[i]) for i in subset]
-                sol = solve_square(gram, rhs)
+                sol = gj_solve(gram, rhs)
                 if sol is None or any(c < 0 for c in sol):
                     continue
             else:

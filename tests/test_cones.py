@@ -1,11 +1,16 @@
+import json
 import random
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fanobalance.cli import main as cli_main
 from fanobalance.cones import (
+    MAX_SUPPORTED_RANK,
     Cone,
     cone_from_facets,
     cone_from_generators,
@@ -73,8 +78,12 @@ class TestDualization:
         with pytest.raises(DimensionMismatch):
             cone_from_generators([v(1, 0, 0)], 2)
 
-    def test_facets_only_cone_reconstructs_generators_lazily(self):
-        cone = Cone(2, facet_normals=[v(1, 0), v(0, 1)])
+    def test_rank_outside_supported_range(self):
+        with pytest.raises(DimensionMismatch):
+            cone_from_facets([], MAX_SUPPORTED_RANK + 1)
+
+    def test_facets_only_cone_reconstructs_generators(self):
+        cone = cone_from_facets([v(1, 0), v(0, 1)], 2)
         assert set(cone.generators) == {v(1, 0), v(0, 1)}
 
     def test_json_roundtrip_and_partial_json(self):
@@ -249,7 +258,7 @@ class TestOracleAgreement:
     def test_facet_cache_compute_once_under_threads(self):
         import threading
 
-        cone = Cone(3, generators=[v(1, 0, 0), v(1, 2, 0), v(0, 1, 3)])
+        cone = cone_from_generators([v(1, 0, 0), v(1, 2, 0), v(0, 1, 3)], 3)
         results = []
 
         def reader():
@@ -271,3 +280,33 @@ class TestOracleAgreement:
         assert not contains(ray, v(1, 0))
         widened = cone_from_facets(list(ray.facet_normals), 2)
         assert contains(widened, v(1, 0))  # facet-only data widens past the span
+
+
+class TestGoldenCones:
+    """Cone outputs pinned byte for byte: generators, facets, lineality and span."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "golden_cones.json").read_text())
+
+    def test_skewed_nonpointed_representatives(self):
+        # (1,-4,0) is the representative double description picks for the
+        # input ray (1,-1,3) modulo the line through (0,1,1)
+        cone = cone_from_generators([v(1, 2, 0), v(1, -1, 3), v(0, 1, 1), v(0, -1, -1)], 3)
+        assert cone.generators == (v(0, -1, -1), v(0, 1, 1), v(1, -4, 0), v(1, 2, 0))
+        assert cone.facet_normals == (v(2, -1, 1), v(4, 1, -1))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_cli_dualize_is_pinned(self, name, tmp_path, capsys):
+        case = self.GOLDEN[name]
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(case["input"]))
+        assert cli_main(["cone", str(path), "--op", "dualize"]) == 0
+        assert capsys.readouterr().out == json.dumps(case["output"], indent=2, sort_keys=True) + "\n"
+        cone = Cone.from_json(case["input"])
+        assert (cone.lineality_rank, cone.dim()) == (case["lineality_rank"], case["dim"])
+
+    def test_moment_curve_facet_count(self):
+        # the cyclic polytope of dimension 5 with 11 vertices has 2 * C(8, 2) facets
+        cone = Cone.from_json(self.GOLDEN["moment_curve_rank6"]["input"])
+        assert len(cone.facet_normals) == 2 * comb(8, 2)
+        assert max(abs(x) for g in cone.generators for x in g) == 15 ** 5
+        assert cone_from_facets(list(cone.facet_normals), 6) == cone
